@@ -124,6 +124,26 @@ class ConfigMatrix:
         self.col_to_row[:] = -1
         self._size = 0
 
+    def assign(self, us: np.ndarray, vs: np.ndarray) -> None:
+        """Overwrite with the connections ``us[i] -> vs[i]`` in bulk stores.
+
+        The whole-configuration counterpart of ``clear()`` plus one
+        :meth:`establish` per pair, for a matcher that rewrites the
+        register every slot; raises if two pairs share a port.
+        """
+        self.clear()
+        self.b[us, vs] = True
+        self.row_to_col[us] = vs
+        self.col_to_row[vs] = us
+        size = len(us)
+        if (
+            np.count_nonzero(self.row_to_col >= 0) != size
+            or np.count_nonzero(self.col_to_row >= 0) != size
+        ):
+            self.clear()
+            raise ConfigurationError("connections share a port")
+        self._size = size
+
     def load(self, other: "ConfigMatrix") -> None:
         """Overwrite this configuration with a copy of ``other``."""
         if other.n != self.n:

@@ -29,15 +29,27 @@ matcher is modelled as the Tiny Tera's dedicated hardware, recomputing
 within the slot it schedules.  What iSLIP gives up is exactly what the
 paper's schemes exploit — no configuration is ever reused, so nothing is
 predictive and nothing is preloadable.
+
+A simulated slot costs a few whole-matrix operations, not a Python loop
+per port: requests are read from one ``(n, n)`` byte matrix whose rows are
+the NICs' own VOQ counters (:func:`~repro.nic.bind_queue_matrix`), each
+grant/accept round of :func:`islip_match` is a pair of boolean ``argmax``
+picks, and the transfer inlines the common mid-message drain and settles
+queue and ledger bytes in bulk.  The result is pinned bit for bit against
+the original per-output scalar matcher by golden digests and a
+differential property test.
 """
 
 from __future__ import annotations
+
+from functools import lru_cache
 
 import numpy as np
 
 from ..errors import ConfigurationError
 from ..fabric.crossbar import Crossbar
 from ..fabric.timing import FabricTiming
+from ..nic import VirtualOutputQueues, bind_queue_matrix
 from ..params import SystemParams
 from ..sim.engine import Priority
 from ..sim.trace import Tracer
@@ -46,7 +58,81 @@ from ..traffic.base import TrafficPhase
 from ..types import MessageRecord
 from .base import BaseNetwork
 
-__all__ = ["IslipNetwork"]
+__all__ = ["IslipNetwork", "islip_match"]
+
+_NO_PORTS = np.zeros(0, dtype=np.int64)
+
+
+@lru_cache(maxsize=8)
+def _at_or_after(n: int) -> np.ndarray:
+    """``mask[p, c]`` is True where column ``c >= p`` (read-only)."""
+    idx = np.arange(n)
+    mask: np.ndarray = idx[None, :] >= idx[:, None]
+    mask.flags.writeable = False
+    return mask
+
+
+def _round_robin_pick(cand: np.ndarray, ptr: np.ndarray) -> np.ndarray:
+    """Per row ``r``: the first True column at or cyclically after ``ptr[r]``.
+
+    Row ``r`` of ``[cand & (column >= ptr[r]) | cand]`` holds the
+    at-or-after candidates, then every candidate again; its first True is
+    the round-robin pick, wrapping to the first candidate when none lies at
+    or after the pointer.  One boolean ``argmax`` along contiguous rows
+    finds it for all rows at once.  Every row must hold a candidate.
+    """
+    n = cand.shape[1]
+    both = np.empty((cand.shape[0], 2 * n), dtype=bool)
+    np.logical_and(cand, _at_or_after(n)[ptr], out=both[:, :n])
+    both[:, n:] = cand
+    picks: np.ndarray = both.argmax(axis=1) % n
+    return picks
+
+
+def islip_match(
+    requests: np.ndarray,
+    grant_ptr: np.ndarray,
+    accept_ptr: np.ndarray,
+    iterations: int,
+) -> tuple[np.ndarray, np.ndarray]:
+    """Run ``iterations`` iSLIP grant/accept rounds over a request matrix.
+
+    ``requests[u, v]`` is True where input ``u`` holds traffic for output
+    ``v``.  Returns the matching as parallel ``(inputs, outputs)`` arrays,
+    iteration by iteration and in ascending input order within each; the
+    pointer vectors are advanced in place on first-iteration accepts.
+
+    Each round is a handful of whole-matrix operations: the grant phase
+    picks along the rows of the transposed request matrix (one row per
+    output), the accept phase along the rows of the grant matrix (one row
+    per input).
+    """
+    n = requests.shape[0]
+    req_t = requests.T.copy()  # [output, input]; unmatched ports only
+    us_parts: list[np.ndarray] = []
+    vs_parts: list[np.ndarray] = []
+    for it in range(iterations):
+        # grant: every requested output picks among its requesters
+        outs = np.flatnonzero(req_t.any(axis=1))
+        if not len(outs):
+            break
+        grants = np.zeros((n, n), dtype=bool)  # [input, output]
+        grants[_round_robin_pick(req_t[outs], grant_ptr[outs]), outs] = True
+        # accept: every granted input picks among its granting outputs
+        ins = np.flatnonzero(grants.any(axis=1))
+        outs = _round_robin_pick(grants[ins], accept_ptr[ins])
+        us_parts.append(ins)
+        vs_parts.append(outs)
+        if it == 0:
+            # pointers move only on first-iteration accepts — the rule
+            # that makes the round-robins desynchronise
+            grant_ptr[outs] = (ins + 1) % n
+            accept_ptr[ins] = (outs + 1) % n
+        req_t[outs] = False
+        req_t[:, ins] = False
+    if not us_parts:
+        return _NO_PORTS, _NO_PORTS
+    return np.concatenate(us_parts), np.concatenate(vs_parts)
 
 
 class IslipNetwork(BaseNetwork):
@@ -76,6 +162,10 @@ class IslipNetwork(BaseNetwork):
         self.iterations = iterations
         # per-run state
         self.crossbar: Crossbar | None = None
+        self._path_ps = 0
+        #: every NIC's VOQ byte vector, bound as the rows of one matrix
+        self._queue_bytes: np.ndarray = np.zeros((0, 0), dtype=np.int64)
+        self._voqs: list[VirtualOutputQueues] = []
         self._grant_ptr: np.ndarray = np.zeros(params.n_ports, dtype=np.int64)
         self._accept_ptr: np.ndarray = np.zeros(params.n_ports, dtype=np.int64)
         self._phase_gen = 0
@@ -88,6 +178,9 @@ class IslipNetwork(BaseNetwork):
     def _reset_scheme_state(self) -> None:
         n = self.params.n_ports
         self.crossbar = Crossbar(self.params, FabricTiming.lvds(self.params))
+        self._path_ps = self.crossbar.path_latency_ps()
+        self._queue_bytes = bind_queue_matrix(self.nics)
+        self._voqs = [nic.voqs for nic in self.nics]
         self._grant_ptr = np.zeros(n, dtype=np.int64)
         self._accept_ptr = np.zeros(n, dtype=np.int64)
         self._phase_gen = 0
@@ -111,72 +204,53 @@ class IslipNetwork(BaseNetwork):
         out["reconfigurations"] = self.crossbar.reconfigurations
         return out
 
-    # -- the matcher --------------------------------------------------------------
-
-    @staticmethod
-    def _rr_pick(candidates: np.ndarray, pointer: int) -> int:
-        """First index in ``candidates`` at or (cyclically) after ``pointer``."""
-        at_or_after = candidates[candidates >= pointer]
-        return int(at_or_after[0]) if len(at_or_after) else int(candidates[0])
-
-    def _match(self, requests: np.ndarray) -> list[tuple[int, int]]:
-        """Run ``iterations`` grant/accept rounds; returns the matching."""
-        n = self.params.n_ports
-        in_free = np.ones(n, dtype=bool)
-        out_free = np.ones(n, dtype=bool)
-        matching: list[tuple[int, int]] = []
-        for it in range(self.iterations):
-            # grant: each free output picks round-robin among free requesters
-            grants: dict[int, list[int]] = {}  # input -> granting outputs
-            for v in np.nonzero(out_free)[0]:
-                col = requests[:, v] & in_free
-                if not col.any():
-                    continue
-                u = self._rr_pick(np.nonzero(col)[0], int(self._grant_ptr[v]))
-                grants.setdefault(u, []).append(int(v))
-            if not grants:
-                break
-            # accept: each granted input picks round-robin among its grants
-            for u, outs in sorted(grants.items()):
-                v = self._rr_pick(
-                    np.asarray(outs, dtype=np.int64), int(self._accept_ptr[u])
-                )
-                in_free[u] = False
-                out_free[v] = False
-                matching.append((u, v))
-                if it == 0:
-                    # pointers move only on first-iteration accepts — the
-                    # rule that makes the round-robins desynchronise
-                    self._grant_ptr[v] = (u + 1) % n
-                    self._accept_ptr[u] = (v + 1) % n
-        return matching
-
     # -- the slot loop ------------------------------------------------------------
 
     def _slot_tick(self, gen: int) -> None:
         if gen != self._phase_gen:
             return  # stale tick armed by a previous phase
-        t = self.sim.now
-        params = self.params
         self.islip_slots += 1
-        requests = np.stack([nic.voqs.bytes_pending for nic in self.nics]) > 0
-        matching = self._match(requests) if requests.any() else []
-        self.slot_match_counts.append(len(matching))
-        self.islip_matches += len(matching)
-        assert self.crossbar is not None
-        if matching:
-            # the matcher writes a fresh configuration every slot — the
-            # reconfiguration count *is* iSLIP's cost profile
-            self.crossbar.active.clear()
-            for u, v in matching:
-                self.crossbar.active.establish(u, v)
-            self.crossbar.reconfigurations += 1
-        path_ps = self.crossbar.path_latency_ps()
-        for u, v in matching:
-            voqs = self.nics[u].voqs
-            moved, done = voqs.drain(v, params.slot_bytes, t, params.byte_ps)
-            if moved:
-                self.ledger.send(u, v, moved)
+        us, vs = islip_match(
+            self._queue_bytes > 0, self._grant_ptr, self._accept_ptr, self.iterations
+        )
+        self.slot_match_counts.append(len(us))
+        self.islip_matches += len(us)
+        if len(us):
+            self._transfer_slot(us, vs)
+        if self._phase_remaining > 0:
+            self.sim.schedule(
+                self.params.slot_ps, self._slot_tick, gen, priority=Priority.FABRIC
+            )
+
+    def _transfer_slot(self, us: np.ndarray, vs: np.ndarray) -> None:
+        """Configure the crossbar for the matching and move one slot of bytes."""
+        t = self.sim.now
+        crossbar = self.crossbar
+        assert crossbar is not None
+        # the matcher writes a fresh configuration every slot — the
+        # reconfiguration count *is* iSLIP's cost profile
+        crossbar.active.assign(us, vs)
+        crossbar.reconfigurations += 1
+        slot_bytes = self.params.slot_bytes
+        byte_ps = self.params.byte_ps
+        voqs_of = self._voqs
+        # the pairs VirtualOutputQueues.drain serves; every other pair moves
+        # exactly slot_bytes through the inlined partial drain
+        drained: list[int] = []
+        drained_bytes: list[int] = []
+        for i, (u, v) in enumerate(zip(us.tolist(), vs.tolist())):
+            voqs = voqs_of[u]
+            head = voqs._queues[v][0]
+            if head.inject_ps <= t and head.remaining > slot_bytes:
+                # mid-message slot, the common case: a pure partial drain of
+                # the head (its byte counter is settled in bulk below)
+                if head.remaining == head.size and id(head) not in voqs._starts:
+                    voqs._starts[id(head)] = t
+                head.remaining -= slot_bytes
+                continue
+            moved, done = voqs.drain(v, slot_bytes, t, byte_ps)
+            drained.append(i)
+            drained_bytes.append(moved)
             for dm in done:
                 record = MessageRecord(
                     src=u,
@@ -184,16 +258,17 @@ class IslipNetwork(BaseNetwork):
                     size=dm.message.size,
                     inject_ps=dm.message.inject_ps,
                     start_ps=dm.start_ps,
-                    done_ps=dm.finish_ps + path_ps,
+                    done_ps=dm.finish_ps + self._path_ps,
                     seq=dm.message.seq,
                 )
                 self.sim.schedule_at(
                     record.done_ps, self._deliver, record, priority=Priority.NIC
                 )
-        if self._phase_remaining > 0:
-            self.sim.schedule(
-                params.slot_ps, self._slot_tick, gen, priority=Priority.FABRIC
-            )
+        moved_bytes = np.full(len(us), slot_bytes, dtype=np.int64)
+        moved_bytes[drained] = 0  # drain() settled its own byte counters
+        self._queue_bytes[us, vs] -= moved_bytes
+        moved_bytes[drained] = drained_bytes
+        self.ledger.send_many(us, vs, moved_bytes)
 
     def _deliver(self, record: MessageRecord) -> None:
         super()._deliver(record)

@@ -64,6 +64,26 @@ class FlowLedger:
                 f"{self.offered[src, dst]} were offered"
             )
 
+    def send_many(self, src: np.ndarray, dst: np.ndarray, n_bytes: np.ndarray) -> None:
+        """Batched :meth:`send` over the pairs ``(src[i], dst[i])``.
+
+        The pairs are meant to be distinct (one slot's matching): then a
+        violation raises the same error, naming the same first offending
+        pair, as the equivalent sequence of :meth:`send` calls.  A repeated
+        pair is still accumulated in full, so its check can only fire
+        earlier than a call-by-call replay, never later.
+        """
+        np.add.at(self.sent, (src, dst), n_bytes)
+        over = self.sent[src, dst] + self.dropped[src, dst] > self.offered[src, dst]
+        if over.any():
+            i = int(over.argmax())
+            u, v = int(src[i]), int(dst[i])
+            raise InvariantError(
+                f"({u}->{v}) sent {self.sent[u, v]} + dropped "
+                f"{self.dropped[u, v]} bytes but only "
+                f"{self.offered[u, v]} were offered"
+            )
+
     def deliver(self, src: int, dst: int, n_bytes: int) -> None:
         self.delivered[src, dst] += n_bytes
         if self.delivered[src, dst] > self.sent[src, dst]:

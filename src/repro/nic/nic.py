@@ -15,7 +15,7 @@ The NIC itself is passive bookkeeping; the network models move the data.
 
 from __future__ import annotations
 
-from typing import Callable
+from typing import Callable, Sequence
 
 import numpy as np
 
@@ -24,7 +24,7 @@ from ..sim.trace import NULL_TRACER, Tracer
 from ..types import Message, MessageRecord
 from .queues import VirtualOutputQueues
 
-__all__ = ["Nic"]
+__all__ = ["Nic", "bind_queue_matrix"]
 
 
 class Nic:
@@ -100,3 +100,22 @@ class Nic:
     def idle(self) -> bool:
         """True when nothing is queued for transmission."""
         return self.voqs.is_empty
+
+
+def bind_queue_matrix(nics: Sequence[Nic]) -> np.ndarray:
+    """Make every NIC's pending-byte vector a row view of one ``(n, n)`` matrix.
+
+    Row ``nic.port`` of the returned int64 matrix *is* that NIC's
+    ``voqs.bytes_pending``: every enqueue, drain and purge lands in the
+    matrix, and every write to the matrix is queue state.  Slot-synchronous
+    code then gathers all pending bytes with one fancy index instead of
+    stacking ``n`` vectors.  Bytes already pending are copied in, so a
+    rebind (a fresh matrix for a new run or phase) loses nothing.
+    """
+    n = len(nics)
+    matrix = np.zeros((n, n), dtype=np.int64)
+    for nic in nics:
+        row = matrix[nic.port]
+        row[:] = nic.voqs.bytes_pending
+        nic.voqs.bytes_pending = row
+    return matrix

@@ -63,6 +63,7 @@ from typing import TYPE_CHECKING, cast
 
 import numpy as np
 
+from ..nic import bind_queue_matrix
 from ..predict.base import NullPredictor
 from ..sched.scheduler import Scheduler
 from ..sched.slarray import wavefront_batch
@@ -169,15 +170,9 @@ class FastPath:
         self.net = net
         self.sim = net.sim
         self.sched = net.scheduler
-        n = net.params.n_ports
         #: all NICs' pending-byte vectors as rows of one matrix, so the
-        #: per-slot transfer can gather pending state with one fancy index.
-        #: The rows are *views*: every VOQ mutation lands here directly.
-        self.queue_bytes = np.zeros((n, n), dtype=np.int64)
-        for nic in net.nics:
-            row = self.queue_bytes[nic.port]
-            row[:] = nic.voqs.bytes_pending
-            nic.voqs.bytes_pending = row
+        #: per-slot transfer can gather pending state with one fancy index
+        self.queue_bytes = bind_queue_matrix(net.nics)
         # the batch wavefront is bit-identical to the sparse walk; dense
         # L matrices (phase starts, all-to-all) are where it pays off
         self.sched.wavefront = wavefront_batch

@@ -108,6 +108,24 @@ class TestMutation:
         assert a == b
         assert len(a) == 2
 
+    def test_assign_replaces_configuration(self):
+        cfg = ConfigMatrix.from_pairs(4, [(0, 1), (1, 0)])
+        cfg.assign(np.array([2, 3]), np.array([0, 2]))
+        assert cfg == ConfigMatrix.from_pairs(4, [(2, 0), (3, 2)])
+        assert len(cfg) == 2
+        assert cfg.output_of(0) is None and cfg.input_of(1) is None
+        cfg.check_invariants()
+
+    @pytest.mark.parametrize(
+        ("us", "vs"), [([0, 0], [1, 2]), ([0, 1], [2, 2])], ids=["input", "output"]
+    )
+    def test_assign_rejects_shared_port(self, us, vs):
+        cfg = ConfigMatrix.from_pairs(4, [(3, 3)])
+        with pytest.raises(ConfigurationError, match="share a port"):
+            cfg.assign(np.array(us), np.array(vs))
+        assert cfg.is_empty
+        cfg.check_invariants()
+
     def test_load_size_mismatch(self):
         with pytest.raises(ConfigurationError):
             ConfigMatrix(4).load(ConfigMatrix(8))
