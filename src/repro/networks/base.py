@@ -33,7 +33,8 @@ import numpy as np
 from ..errors import SimulationError
 from ..faults.injector import FaultInjector
 from ..nic.flow import FlowLedger
-from ..nic.nic import Nic
+from ..nic.nic import Nic, QueueMatrix
+from ..nic.queues import DrainedMessage
 from ..params import SystemParams
 from ..sim.engine import Priority, Simulator
 from ..sim.stats import OnlineStats
@@ -159,6 +160,8 @@ class BaseNetwork(ABC):
         # per-run state, created in run()
         self.sim: Simulator = Simulator()
         self.nics: list[Nic] = []
+        #: every NIC's VOQ byte vector, bound as the rows of one matrix
+        self.queue_matrix = QueueMatrix([])
         self.ledger: FlowLedger = FlowLedger(params.n_ports)
         self.records: list[MessageRecord] = []
         self.drops: list[DropRecord] = []
@@ -178,6 +181,7 @@ class BaseNetwork(ABC):
         self.sim = Simulator()
         clock = lambda: self.sim.now  # noqa: E731 - rebinds to the fresh sim
         self.nics = [Nic(self.params, p, self.tracer, clock) for p in range(n)]
+        self.queue_matrix = QueueMatrix(self.nics)
         self.ledger = FlowLedger(n)
         self.records = []
         self.drops = []
@@ -338,6 +342,23 @@ class BaseNetwork(ABC):
             seq=record.seq,
         )
 
+    def _deliver_drained(self, drained: DrainedMessage, path_ps: int) -> None:
+        """Schedule the delivery of a message whose last byte left its NIC.
+
+        The last byte reaches the destination ``path_ps`` after it left.
+        """
+        msg = drained.message
+        record = MessageRecord(
+            src=msg.src,
+            dst=msg.dst,
+            size=msg.size,
+            inject_ps=msg.inject_ps,
+            start_ps=drained.start_ps,
+            done_ps=drained.finish_ps + path_ps,
+            seq=msg.seq,
+        )
+        self.sim.schedule_at(record.done_ps, self._deliver, record, priority=Priority.NIC)
+
     def _drop_message(self, msg: Message, reason: str) -> None:
         """Explicitly give a message up: account every byte, record the drop.
 
@@ -387,11 +408,6 @@ class BaseNetwork(ABC):
         """Per-port permanent-failure state (owned by the lifecycle layer)."""
         return self.lifecycle.link_dead
 
-    def _link_ok(self, u: int, v: int) -> bool:
-        """Can connection (u, v) move bytes right now?"""
-        down = self.lifecycle.link_down
-        return not (down[u] or down[v])
-
     def fault_link_down(self, port: int, duration_ps: int) -> bool:
         """A transient outage takes both of ``port``'s links down."""
         return self.lifecycle.port_link_down(port, duration_ps)
@@ -435,7 +451,15 @@ class BaseNetwork(ABC):
     # scheme-specific reactions to link state changes
 
     def _on_link_down(self, port: int) -> None:
-        """React to a transient outage starting (override per scheme)."""
+        """A transient outage starts: every connection with bytes queued to
+        or from ``port`` opens a recovery window (override per scheme)."""
+        inj = self.fault_injector
+        assert inj is not None
+        pending = self.queue_matrix.pending
+        for v in np.flatnonzero(pending[port] > 0).tolist():
+            inj.note_disrupted(port, v)
+        for u in np.flatnonzero(pending[:, port] > 0).tolist():
+            inj.note_disrupted(u, port)
 
     def _on_link_up(self, port: int) -> None:
         """React to a transient outage ending (override per scheme)."""

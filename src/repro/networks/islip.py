@@ -32,10 +32,11 @@ predictive and nothing is preloadable.
 
 A simulated slot costs a few whole-matrix operations, not a Python loop
 per port: requests are read from one ``(n, n)`` byte matrix whose rows are
-the NICs' own VOQ counters (:func:`~repro.nic.bind_queue_matrix`), each
+the NICs' own VOQ counters (:class:`~repro.nic.QueueMatrix`), each
 grant/accept round of :func:`islip_match` is a pair of boolean ``argmax``
-picks, and the transfer inlines the common mid-message drain and settles
-queue and ledger bytes in bulk.  The result is pinned bit for bit against
+picks, and the matching drains through the slot-drain kernel every
+slotted scheme shares (:meth:`~repro.nic.QueueMatrix.drain`), with the
+ledger charged once per slot.  The result is pinned bit for bit against
 the original per-output scalar matcher by golden digests and a
 differential property test.
 """
@@ -49,7 +50,6 @@ import numpy as np
 from ..errors import ConfigurationError
 from ..fabric.crossbar import Crossbar
 from ..fabric.timing import FabricTiming
-from ..nic import VirtualOutputQueues, bind_queue_matrix
 from ..params import SystemParams
 from ..sim.engine import Priority
 from ..sim.trace import Tracer
@@ -163,9 +163,6 @@ class IslipNetwork(BaseNetwork):
         # per-run state
         self.crossbar: Crossbar | None = None
         self._path_ps = 0
-        #: every NIC's VOQ byte vector, bound as the rows of one matrix
-        self._queue_bytes: np.ndarray = np.zeros((0, 0), dtype=np.int64)
-        self._voqs: list[VirtualOutputQueues] = []
         self._grant_ptr: np.ndarray = np.zeros(params.n_ports, dtype=np.int64)
         self._accept_ptr: np.ndarray = np.zeros(params.n_ports, dtype=np.int64)
         self._phase_gen = 0
@@ -179,8 +176,6 @@ class IslipNetwork(BaseNetwork):
         n = self.params.n_ports
         self.crossbar = Crossbar(self.params, FabricTiming.lvds(self.params))
         self._path_ps = self.crossbar.path_latency_ps()
-        self._queue_bytes = bind_queue_matrix(self.nics)
-        self._voqs = [nic.voqs for nic in self.nics]
         self._grant_ptr = np.zeros(n, dtype=np.int64)
         self._accept_ptr = np.zeros(n, dtype=np.int64)
         self._phase_gen = 0
@@ -211,64 +206,30 @@ class IslipNetwork(BaseNetwork):
             return  # stale tick armed by a previous phase
         self.islip_slots += 1
         us, vs = islip_match(
-            self._queue_bytes > 0, self._grant_ptr, self._accept_ptr, self.iterations
+            self.queue_matrix.pending > 0,
+            self._grant_ptr,
+            self._accept_ptr,
+            self.iterations,
         )
         self.slot_match_counts.append(len(us))
         self.islip_matches += len(us)
         if len(us):
-            self._transfer_slot(us, vs)
+            # the matcher writes a fresh configuration every slot — the
+            # reconfiguration count *is* iSLIP's cost profile
+            assert self.crossbar is not None
+            self.crossbar.active.assign(us, vs)
+            self.crossbar.reconfigurations += 1
+            moved, done = self.queue_matrix.drain(
+                us, vs, self.params.slot_bytes, self.sim.now, self.params.byte_ps
+            )
+            for finished in done.values():
+                for dm in finished:
+                    self._deliver_drained(dm, self._path_ps)
+            self.ledger.send_many(us, vs, moved)
         if self._phase_remaining > 0:
             self.sim.schedule(
                 self.params.slot_ps, self._slot_tick, gen, priority=Priority.FABRIC
             )
-
-    def _transfer_slot(self, us: np.ndarray, vs: np.ndarray) -> None:
-        """Configure the crossbar for the matching and move one slot of bytes."""
-        t = self.sim.now
-        crossbar = self.crossbar
-        assert crossbar is not None
-        # the matcher writes a fresh configuration every slot — the
-        # reconfiguration count *is* iSLIP's cost profile
-        crossbar.active.assign(us, vs)
-        crossbar.reconfigurations += 1
-        slot_bytes = self.params.slot_bytes
-        byte_ps = self.params.byte_ps
-        voqs_of = self._voqs
-        # the pairs VirtualOutputQueues.drain serves; every other pair moves
-        # exactly slot_bytes through the inlined partial drain
-        drained: list[int] = []
-        drained_bytes: list[int] = []
-        for i, (u, v) in enumerate(zip(us.tolist(), vs.tolist())):
-            voqs = voqs_of[u]
-            head = voqs._queues[v][0]
-            if head.inject_ps <= t and head.remaining > slot_bytes:
-                # mid-message slot, the common case: a pure partial drain of
-                # the head (its byte counter is settled in bulk below)
-                if head.remaining == head.size and id(head) not in voqs._starts:
-                    voqs._starts[id(head)] = t
-                head.remaining -= slot_bytes
-                continue
-            moved, done = voqs.drain(v, slot_bytes, t, byte_ps)
-            drained.append(i)
-            drained_bytes.append(moved)
-            for dm in done:
-                record = MessageRecord(
-                    src=u,
-                    dst=v,
-                    size=dm.message.size,
-                    inject_ps=dm.message.inject_ps,
-                    start_ps=dm.start_ps,
-                    done_ps=dm.finish_ps + self._path_ps,
-                    seq=dm.message.seq,
-                )
-                self.sim.schedule_at(
-                    record.done_ps, self._deliver, record, priority=Priority.NIC
-                )
-        moved_bytes = np.full(len(us), slot_bytes, dtype=np.int64)
-        moved_bytes[drained] = 0  # drain() settled its own byte counters
-        self._queue_bytes[us, vs] -= moved_bytes
-        moved_bytes[drained] = drained_bytes
-        self.ledger.send_many(us, vs, moved_bytes)
 
     def _deliver(self, record: MessageRecord) -> None:
         super()._deliver(record)

@@ -664,51 +664,45 @@ class MultiSwitchTdmNetwork(BaseNetwork):
     def _transfer_slot(self, slot: int, t: int) -> None:
         """Every established circuit holding this slot moves one slot's bytes."""
         params = self.params
-        slot_bytes = params.slot_bytes
-        byte_ps = params.byte_ps
         faults_active = self._faults_active
         trace = self.tracer.enabled
-        path_ps_cache: dict[int, int] = {}
-        for (u, v), circ in list(self._circuits.items()):
-            if circ.slot != slot or not circ.established:
-                continue
-            self._slot_opportunities += 1
-            if circ.ready_ps > t:
-                continue  # the NIC has not seen the grant yet
-            if faults_active and self._circuit_blocked(circ):
-                continue  # an endpoint link or trunk on the path is out
-            nic = self.nics[u]
-            if nic.voqs.bytes_pending[v] <= 0:
-                continue
-            moved, done = nic.voqs.drain(v, slot_bytes, t, byte_ps)
-            if moved == 0:
-                continue
+        circs = [
+            c for c in self._circuits.values() if c.slot == slot and c.established
+        ]
+        self._slot_opportunities += len(circs)
+        # a circuit carries data once the NIC has seen its grant, while its
+        # endpoint links and every trunk on its path are up, and while it
+        # has bytes queued
+        pending = self.queue_matrix.pending
+        circs = [
+            c
+            for c in circs
+            if c.ready_ps <= t
+            and not (faults_active and self._circuit_blocked(c))
+            and pending[c.u, c.v] > 0
+        ]
+        if not circs:
+            return
+        us = np.array([c.u for c in circs])
+        vs = np.array([c.v for c in circs])
+        moved, done = self.queue_matrix.drain(
+            us, vs, params.slot_bytes, t, params.byte_ps
+        )
+        self.ledger.send_many(us, vs, moved)
+        for i, (circ, m) in enumerate(zip(circs, moved.tolist())):
+            if m == 0:
+                continue  # the head is not yet injected
+            u, v = circ.u, circ.v
             self._slot_transfers += 1
             if trace:
-                self.tracer.record(t, "xfer", src=u, dst=v, bytes=moved, slot=slot)
-            self.ledger.send(u, v, moved)
+                self.tracer.record(t, "xfer", src=u, dst=v, bytes=m, slot=slot)
             if faults_active:
                 assert self.fault_injector is not None
                 self.fault_injector.note_progress(u, v)
-            n_switches = len(circ.switches)
-            fill = path_ps_cache.get(n_switches)
-            if fill is None:
-                fill = self.topology.path_latency_ps(params, n_switches)
-                path_ps_cache[n_switches] = fill
-            for dm in done:
-                record = MessageRecord(
-                    src=u,
-                    dst=v,
-                    size=dm.message.size,
-                    inject_ps=dm.message.inject_ps,
-                    start_ps=dm.start_ps,
-                    done_ps=dm.finish_ps + fill,
-                    seq=dm.message.seq,
-                )
-                self.sim.schedule_at(
-                    record.done_ps, self._deliver, record, priority=Priority.NIC
-                )
-            if nic.voqs.bytes_pending[v] == 0:
+            for dm in done.get(i, ()):
+                fill = self.topology.path_latency_ps(params, len(circ.switches))
+                self._deliver_drained(dm, fill)
+            if pending[u, v] == 0:
                 # the queue-empty edge reaches the home switch one request
                 # wire later; the circuit is torn down unless refilled
                 self.sim.schedule(
@@ -830,17 +824,6 @@ class MultiSwitchTdmNetwork(BaseNetwork):
                 )
 
     # -- endpoint link-state reactions --------------------------------------------------
-
-    def _on_link_down(self, port: int) -> None:
-        """A transient endpoint outage: open recovery windows."""
-        inj = self.fault_injector
-        assert inj is not None
-        pending = self.nics[port].voqs.bytes_pending
-        for v in np.nonzero(pending > 0)[0].tolist():
-            inj.note_disrupted(port, v)
-        for nic in self.nics:
-            if nic.port != port and nic.voqs.bytes_pending[port] > 0:
-                inj.note_disrupted(nic.port, port)
 
     def _on_link_dead(self, port: int) -> None:
         """An endpoint died for good: drop its traffic, free its circuits."""

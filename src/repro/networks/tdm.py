@@ -555,8 +555,7 @@ class TdmNetwork(BaseNetwork):
         """Full refresh of the scheduler's request view (phase injection)."""
         sched = self.scheduler
         assert sched is not None
-        for nic in self.nics:
-            sched.r_view[nic.port, :] = nic.voqs.request_vector()
+        sched.r_view[:] = self.queue_matrix.pending > 0
         if self._faults_active:
             # blanket watchdog coverage: every pending connection gets a
             # NIC-side timeout so no fault can stall the phase unnoticed
@@ -581,7 +580,6 @@ class TdmNetwork(BaseNetwork):
     # -- the TDM slot clock ---------------------------------------------------------------
 
     def _slot_tick(self) -> None:
-        fp = self._fastpath
         sched = self.scheduler
         assert sched is not None
         t = self.sim.now
@@ -590,82 +588,66 @@ class TdmNetwork(BaseNetwork):
         if slot is not None:
             assert self.crossbar is not None
             self.crossbar.apply(sched.registers[slot])
-            if fp is not None:
-                fp.transfer_slot(slot, t)
-            else:
-                self._transfer_slot(slot, t)
+            self._transfer_slot(slot, t)
             self._maybe_advance_batch()
         if self._phase_remaining > 0 or self.sim.pending > 0:
             self.sim.schedule(self.params.slot_ps, self._slot_tick, priority=Priority.FABRIC)
-        if fp is not None:
+        if self._fastpath is not None:
             # with both clocks re-armed the window precomputation can see
             # the full heap; opening is refused unless provably safe
-            fp.maybe_open_window()
+            self._fastpath.maybe_open_window()
 
     def _transfer_slot(self, slot: int, t: int) -> None:
-        """Move data over every granted connection of one slot."""
+        """Move data over every granted connection of one slot.
+
+        One vector mask skips the connections whose grant the NIC has not
+        seen yet, with an endpoint link down, or with nothing queued; the
+        rest drain together through the shared slot kernel, then each
+        pair's side effects run in input-port order.
+        """
         params = self.params
         sched = self.scheduler
-        assert sched is not None
-        cfg = sched.registers[slot]
-        slot_bytes = params.slot_bytes
-        byte_ps = params.byte_ps
-        conn_ready = self._conn_ready
-        assert conn_ready is not None
-        faults_active = self._faults_active
+        assert sched is not None and self.crossbar is not None
+        assert self._conn_ready is not None
+        rtc = sched.registers.slots[slot].row_to_col
+        us = np.flatnonzero(rtc >= 0)
+        self._slot_opportunities += len(us)
+        vs = rtc[us]
+        pending = self.queue_matrix.pending
+        act = (self._conn_ready[us, vs] <= t) & (pending[us, vs] > 0)
+        if self._faults_active:
+            down = self._link_down
+            act &= ~(down[us] | down[vs])
+        us = us[act]
+        vs = vs[act]
+        moved, done = self.queue_matrix.drain(us, vs, params.slot_bytes, t, params.byte_ps)
+        self.ledger.send_many(us, vs, moved)
         tracer = self.tracer
-        trace = tracer.enabled
-        slot_conns = 0
-        slot_bytes_moved = 0
-        for u, v in cfg.connections():
-            nic = self.nics[u]
-            self._slot_opportunities += 1
-            if conn_ready[u, v] > t:
-                continue  # the NIC has not seen this grant yet
-            if faults_active and (self._link_down[u] or self._link_down[v]):
-                continue  # an endpoint's links are out — no data this slot
-            if nic.voqs.bytes_pending[v] <= 0:
-                continue
-            moved, done = nic.voqs.drain(v, slot_bytes, t, byte_ps)
-            if moved == 0:
-                continue
+        path_ps = self.crossbar.path_latency_ps()
+        for i, (u, v, m) in enumerate(zip(us.tolist(), vs.tolist(), moved.tolist())):
+            if m == 0:
+                continue  # the head is not yet injected
             self._slot_transfers += 1
-            slot_conns += 1
-            slot_bytes_moved += moved
-            if trace:
-                tracer.record(t, "xfer", src=u, dst=v, bytes=moved, slot=slot)
-            self.ledger.send(u, v, moved)
-            if faults_active:
+            if tracer.enabled:
+                tracer.record(t, "xfer", src=u, dst=v, bytes=m, slot=slot)
+            if self._faults_active:
                 assert self.fault_injector is not None
                 self.fault_injector.note_progress(u, v)
             self.predictor.on_use(u, v, t)
             if (u, v) in self._batch_conns:
-                self._batch_remaining -= moved
-            for dm in done:
-                record = MessageRecord(
-                    src=u,
-                    dst=v,
-                    size=dm.message.size,
-                    inject_ps=dm.message.inject_ps,
-                    start_ps=dm.start_ps,
-                    done_ps=dm.finish_ps + self.crossbar.path_latency_ps(),
-                    seq=dm.message.seq,
-                )
-                self.sim.schedule_at(
-                    record.done_ps, self._deliver, record, priority=Priority.NIC
-                )
+                self._batch_remaining -= m
+            for dm in done.get(i, ()):
+                self._deliver_drained(dm, path_ps)
                 if self.prefetcher is not None:
                     self.prefetcher.observe(u, v, t)
                     conn = self.prefetcher.prefetch(u, v, t)
                     if conn is not None:
                         # the Figure-1 predictor sits beside the scheduler,
                         # so the latch is set without a wire delay
-                        sched = self.scheduler
-                        assert sched is not None
                         sched.latched[conn.src, conn.dst] = True
                 if self.injection_window is not None:
                     self._feed_nic(u)
-            if nic.voqs.bytes_pending[v] == 0:
+            if pending[u, v] == 0:
                 hold = self.predictor.on_empty(u, v, t)
                 self.sim.schedule(
                     params.request_wire_ps,
@@ -675,9 +657,13 @@ class TdmNetwork(BaseNetwork):
                     hold,
                     priority=Priority.WIRE,
                 )
-        if trace:
+        if tracer.enabled:
             tracer.record(
-                t, "slot-transfer", slot=slot, conns=slot_conns, bytes=slot_bytes_moved
+                t,
+                "slot-transfer",
+                slot=slot,
+                conns=int(np.count_nonzero(moved)),
+                bytes=int(moved.sum()),
             )
 
     # -- the SL clock -------------------------------------------------------------------------
@@ -696,9 +682,8 @@ class TdmNetwork(BaseNetwork):
                 if not sched.r_view[conn.src, conn.dst]:
                     sched.latched[conn.src, conn.dst] = False
         if self.boost_policy is not None:
-            queue_bytes = np.stack([nic.voqs.bytes_pending for nic in self.nics])
-            self.boost_policy.update(queue_bytes)
-            self.boost_policy.release_excess(queue_bytes)
+            self.boost_policy.update(self.queue_matrix.pending)
+            self.boost_policy.release_excess(self.queue_matrix.pending)
         if isinstance(sched, MultiUnitScheduler):
             passes = sched.sl_tick()
         else:
@@ -797,17 +782,6 @@ class TdmNetwork(BaseNetwork):
         self._degrade_to_dynamic()
 
     # -- link-state reactions (repro.faults) ------------------------------------------------------
-
-    def _on_link_down(self, port: int) -> None:
-        """A transient outage: open recovery windows for affected traffic."""
-        inj = self.fault_injector
-        assert inj is not None
-        pending = self.nics[port].voqs.bytes_pending
-        for v in np.nonzero(pending > 0)[0].tolist():
-            inj.note_disrupted(port, v)
-        for nic in self.nics:
-            if nic.port != port and nic.voqs.bytes_pending[port] > 0:
-                inj.note_disrupted(nic.port, port)
 
     def _on_link_dead(self, port: int) -> None:
         """A port died for good: give up every message it touches.

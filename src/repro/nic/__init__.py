@@ -1,13 +1,13 @@
 """NIC substrate: virtual output queues, the NIC model, flow accounting."""
 
 from .flow import FlowLedger
-from .nic import Nic, bind_queue_matrix
+from .nic import Nic, QueueMatrix
 from .queues import DrainedMessage, VirtualOutputQueues
 
 __all__ = [
     "FlowLedger",
     "Nic",
     "DrainedMessage",
+    "QueueMatrix",
     "VirtualOutputQueues",
-    "bind_queue_matrix",
 ]

@@ -22,9 +22,9 @@ import numpy as np
 from ..params import SystemParams
 from ..sim.trace import NULL_TRACER, Tracer
 from ..types import Message, MessageRecord
-from .queues import VirtualOutputQueues
+from .queues import DrainedMessage, VirtualOutputQueues
 
-__all__ = ["Nic", "bind_queue_matrix"]
+__all__ = ["Nic", "QueueMatrix"]
 
 
 class Nic:
@@ -36,7 +36,6 @@ class Nic:
         "voqs",
         "bytes_received",
         "records",
-        "last_request",
         "tracer",
         "clock",
     )
@@ -54,8 +53,6 @@ class Nic:
         self.bytes_received = 0
         #: completed deliveries *into* this NIC
         self.records: list[MessageRecord] = []
-        #: last request vector communicated to the scheduler (for edge detection)
-        self.last_request = np.zeros(params.n_ports, dtype=bool)
         self.tracer = tracer if tracer is not None else NULL_TRACER
         #: simulation-time source for instrumentation timestamps
         self.clock = clock if clock is not None else (lambda: 0)
@@ -75,18 +72,6 @@ class Nic:
     def request_vector(self) -> np.ndarray:
         return self.voqs.request_vector()
 
-    def request_changes(self) -> list[tuple[int, bool]]:
-        """Destinations whose request bit flipped since the last sample.
-
-        The network model calls this to generate request-wire update events
-        (each flip travels to the scheduler with the request-wire delay).
-        """
-        current = self.request_vector()
-        flips = np.nonzero(current != self.last_request)[0]
-        changes = [(int(v), bool(current[v])) for v in flips]
-        self.last_request = current
-        return changes
-
     def receive(self, record: MessageRecord) -> None:
         """Account a completed delivery (last byte arrived)."""
         self.bytes_received += record.size
@@ -102,20 +87,78 @@ class Nic:
         return self.voqs.is_empty
 
 
-def bind_queue_matrix(nics: Sequence[Nic]) -> np.ndarray:
-    """Make every NIC's pending-byte vector a row view of one ``(n, n)`` matrix.
+class QueueMatrix:
+    """Every NIC's pending-byte vector as a row view of one ``(n, n)`` matrix,
+    and the slot drain every slotted scheme shares.
 
-    Row ``nic.port`` of the returned int64 matrix *is* that NIC's
+    Row ``nic.port`` of :attr:`pending` *is* that NIC's
     ``voqs.bytes_pending``: every enqueue, drain and purge lands in the
     matrix, and every write to the matrix is queue state.  Slot-synchronous
     code then gathers all pending bytes with one fancy index instead of
     stacking ``n`` vectors.  Bytes already pending are copied in, so a
     rebind (a fresh matrix for a new run or phase) loses nothing.
     """
-    n = len(nics)
-    matrix = np.zeros((n, n), dtype=np.int64)
-    for nic in nics:
-        row = matrix[nic.port]
-        row[:] = nic.voqs.bytes_pending
-        nic.voqs.bytes_pending = row
-    return matrix
+
+    __slots__ = ("pending", "_voqs")
+
+    def __init__(self, nics: Sequence[Nic]) -> None:
+        self.pending = np.zeros((len(nics), len(nics)), dtype=np.int64)
+        self._voqs = [nic.voqs for nic in sorted(nics, key=lambda nic: nic.port)]
+        for nic in nics:
+            row = self.pending[nic.port]
+            row[:] = nic.voqs.bytes_pending
+            nic.voqs.bytes_pending = row
+
+    def drain(
+        self,
+        us: np.ndarray,
+        vs: np.ndarray,
+        max_bytes: int | np.ndarray,
+        start_ps: int | np.ndarray,
+        byte_ps: int = 0,
+    ) -> tuple[np.ndarray, dict[int, list[DrainedMessage]]]:
+        """Drain each pair ``(us[i], vs[i])`` by up to ``max_bytes`` from ``start_ps``.
+
+        A TDM slot: every connection moves up to ``max_bytes`` out of its
+        VOQ.  ``max_bytes`` (positive) and ``start_ps`` are one value for
+        all pairs or one per pair; every pair must have bytes pending and
+        no pair may repeat.  Each pair gets exactly what
+        :meth:`~repro.nic.queues.VirtualOutputQueues.drain` would give it,
+        but the common mid-message case (an injected head that outlives
+        the budget) is an inlined partial drain whose byte counters are
+        settled for all pairs in one store.
+
+        Returns the bytes moved per pair (int64; 0 where the head is not
+        yet injected) and the messages completed, keyed by pair index in
+        pair order.  Draining a whole slot before the caller handles any
+        pair is exact because each crossbar input carries at most one
+        connection per slot: the ``us`` are distinct, so nothing the caller
+        does for pair ``i`` (feeding NIC ``us[i]`` included) can touch a
+        later pair's queue.
+        """
+        n = len(us)
+        caps = max_bytes.tolist() if isinstance(max_bytes, np.ndarray) else [max_bytes] * n
+        starts = start_ps.tolist() if isinstance(start_ps, np.ndarray) else [start_ps] * n
+        moved = np.array(caps, dtype=np.int64)
+        # pairs VirtualOutputQueues.drain served settle their own counters
+        drained: list[int] = []
+        drained_bytes: list[int] = []
+        done: dict[int, list[DrainedMessage]] = {}
+        pairs = zip(us.tolist(), vs.tolist(), caps, starts)
+        for i, (u, v, cap, t) in enumerate(pairs):
+            voqs = self._voqs[u]
+            head = voqs._queues[v][0]
+            if head.inject_ps <= t and head.remaining > cap:
+                if head.remaining == head.size and id(head) not in voqs._starts:
+                    voqs._starts[id(head)] = t
+                head.remaining -= cap
+                continue
+            got, finished = voqs.drain(v, cap, t, byte_ps)
+            drained.append(i)
+            drained_bytes.append(got)
+            if finished:
+                done[i] = finished
+        moved[drained] = 0
+        self.pending[us, vs] -= moved
+        moved[drained] = drained_bytes
+        return moved, done

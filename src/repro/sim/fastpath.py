@@ -20,11 +20,12 @@ a single observable of the simulation:
 * outside windows, an SL tick whose pre-scheduling matrix is provably
   empty (:meth:`FastPath.handle_sl_tick`) skips the full pass and applies
   its only effects — cursor, rotation, pass counters — directly;
-* :meth:`FastPath.transfer_slot` replaces the per-slot transfer loop with
-  a vectorised grant/ready/pending mask plus an inlined partial-drain
-  branch, and the scheduler's wavefront evaluator is swapped for
+* the scheduler's wavefront evaluator is swapped for
   :func:`~repro.sched.slarray.wavefront_batch` (bit-identical by
   construction; see its property tests).
+
+Slots outside windows run ``TdmNetwork._transfer_slot``, the one
+vectorised transfer both engines share.
 
 A window may open, at the end of a normal slot tick at time ``t0``, only
 when ALL of the following hold (checked against live state, never cached
@@ -63,17 +64,14 @@ from typing import TYPE_CHECKING, cast
 
 import numpy as np
 
-from ..nic import bind_queue_matrix
 from ..predict.base import NullPredictor
 from ..sched.scheduler import Scheduler
 from ..sched.slarray import wavefront_batch
-from ..types import MessageRecord
 from .engine import Event, Priority
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard (tdm imports us)
     from ..networks.base import BaseNetwork
     from ..networks.tdm import TdmNetwork
-    from ..nic.queues import DrainedMessage
     from ..types import Message
 
 __all__ = [
@@ -159,10 +157,10 @@ class FastPath:
     """Per-run slot-synchronous execution state for one TdmNetwork run.
 
     Created in ``TdmNetwork._reset_scheme_state`` when the run is eligible;
-    owns the shared queue-byte matrix, the vectorised transfer, and the
-    quiescent-window machinery.  All effects are bit-identical to the
-    event-driven path, so nothing here appears in ``RunResult`` counters;
-    :meth:`stats` exposes diagnostics through a side channel instead.
+    owns the provably-empty SL pass and the quiescent-window machinery.
+    All effects are bit-identical to the event-driven path, so nothing here
+    appears in ``RunResult`` counters; :meth:`stats` exposes diagnostics
+    through a side channel instead.
     """
 
     def __init__(self, net: "TdmNetwork") -> None:
@@ -170,19 +168,14 @@ class FastPath:
         self.net = net
         self.sim = net.sim
         self.sched = net.scheduler
-        #: all NICs' pending-byte vectors as rows of one matrix, so the
-        #: per-slot transfer can gather pending state with one fancy index
-        self.queue_bytes = bind_queue_matrix(net.nics)
         # the batch wavefront is bit-identical to the sparse walk; dense
         # L matrices (phase starts, all-to-all) are where it pays off
         self.sched.wavefront = wavefront_batch
-        self._path_ps = net.crossbar.path_latency_ps()
         self._quiet_capable = (
             isinstance(net.predictor, NullPredictor)
             and net.prefetcher is None
             and net.boost_policy is None
         )
-        self._null_predictor = isinstance(net.predictor, NullPredictor)
         # diagnostics (side channel only — never RunResult counters)
         self.windows_opened = 0
         self.quiet_slot_ticks = 0
@@ -379,7 +372,7 @@ class FastPath:
         # (grant or head injection still in flight) vetoes the window
         conn_ready = net._conn_ready
         assert conn_ready is not None
-        qb = self.queue_bytes
+        qb = net.queue_matrix.pending
         slot_bytes = net.params.slot_bytes
         slot_opps: dict[int, int] = {}
         slot_moves: dict[int, int] = {}
@@ -389,37 +382,32 @@ class FastPath:
         for s in sorted(set(tail) | set(cycle)):
             cfg = regs.slots[s]
             rtc = cfg.row_to_col
-            us = np.nonzero(rtc >= 0)[0]
+            us = np.flatnonzero(rtc >= 0)
             slot_opps[s] = len(us)
             vs = rtc[us]
             act = qb[us, vs] > 0
-            moves = 0
-            batch_moves = 0
-            if act.any():
-                aus = us[act]
-                avs = vs[act]
-                if bool(np.any(conn_ready[aus, avs] > t)):
+            us = us[act]
+            vs = vs[act]
+            if bool(np.any(conn_ready[us, vs] > t)):
+                self.window_denials += 1
+                return
+            slot_moves[s] = len(us)
+            bslot[s] = 0
+            for u, v in zip(us.tolist(), vs.tolist()):
+                head = net.nics[u].voqs.head(v)
+                assert head is not None
+                if head.inject_ps > t:
                     self.window_denials += 1
                     return
-                for u, v in zip(aus.tolist(), avs.tolist()):
-                    head = net.nics[u].voqs.head(v)
-                    assert head is not None
-                    if head.inject_ps > t:
-                        self.window_denials += 1
-                        return
-                    moves += 1
-                    if (u, v) in net._batch_conns:
-                        batch_moves += 1
-                    conn_head[(u, v)] = head
-                    conn_slots.setdefault((u, v), set()).add(s)
-            slot_moves[s] = moves
-            bslot[s] = batch_moves
+                bslot[s] += (u, v) in net._batch_conns
+                conn_head[(u, v)] = head
+                conn_slots.setdefault((u, v), set()).add(s)
 
         # first break: the earliest tick a served head would complete on
         tau = len(tail)
         p = len(cycle)
         break_idx: int | None = None
-        served: list[tuple[int, int, "Message", list[int], int]] = []
+        served: list[tuple[int, int, list[int], int]] = []
         for (u, v), slots_of in sorted(conn_slots.items()):
             positions = [i for i, s in enumerate(tail) if s in slots_of]
             w0 = len(positions)
@@ -430,7 +418,7 @@ class FastPath:
             idx = _index_of_occurrence(positions, k_done, tau, p, w)
             if idx is not None and (break_idx is None or idx < break_idx):
                 break_idx = idx
-            served.append((u, v, head, positions, w))
+            served.append((u, v, positions, w))
 
         # second break: the tick the current preload batch drains to zero
         # (that tick must run normally — it schedules the next batch load)
@@ -485,20 +473,21 @@ class FastPath:
             # slot; only the last load is observable
             crossbar.reconfigurations += m
             crossbar.active.load(regs.slots[last])
-            for u, v, head, positions, w in served:
-                occ = _count_before(positions, m, tau, p, w)
-                if occ == 0:
-                    continue
-                voqs = net.nics[u].voqs
-                if head.remaining == head.size and id(head) not in voqs._starts:
-                    voqs._starts[id(head)] = t + (positions[0] + 1) * slot_ps
-                moved = occ * slot_bytes
-                head.remaining -= moved
-                voqs.bytes_pending[v] -= moved
-                assert head.remaining > 0, "window overran a message completion"
-                net.ledger.send(u, v, moved)
-                if (u, v) in net._batch_conns:
-                    net._batch_remaining -= moved
+            # each served head drains its in-window turns in one go, from
+            # the first turn's tick, through the shared slot kernel
+            drains = [
+                (u, v, occ * slot_bytes, t + (positions[0] + 1) * slot_ps)
+                for u, v, positions, w in served
+                if (occ := _count_before(positions, m, tau, p, w))
+            ]
+            if drains:
+                us, vs, budgets, starts = (np.array(col) for col in zip(*drains))
+                moved, done = net.queue_matrix.drain(us, vs, budgets, starts)
+                assert not done, "window overran a message completion"
+                net.ledger.send_many(us, vs, moved)
+                for u, v, budget, _ in drains:
+                    if (u, v) in net._batch_conns:
+                        net._batch_remaining -= budget
 
         if j_m:
             if dynamic:
@@ -550,82 +539,3 @@ class FastPath:
             if acc >= need:
                 return len(tail) + full * len(cycle) + j
         return None  # pragma: no cover - need <= per_cycle by construction
-
-    # -- the vectorised per-slot transfer -------------------------------------
-
-    def transfer_slot(self, slot: int, t: int) -> None:
-        """Byte-identical replacement for ``TdmNetwork._transfer_slot``.
-
-        Only reached when tracing is off and no faults are active (the
-        eligibility gate), so those branches of the original are dead here;
-        the grant/ready/pending skip cascade is evaluated as one vector
-        mask and the common mid-message slot — a pure partial drain — is
-        inlined without touching the deque.
-        """
-        net = self.net
-        params = net.params
-        cfg = self.sched.registers.slots[slot]
-        rtc = cfg.row_to_col
-        us = np.nonzero(rtc >= 0)[0]
-        net._slot_opportunities += len(us)
-        conn_ready = net._conn_ready
-        assert conn_ready is not None
-        vs = rtc[us]
-        act = (conn_ready[us, vs] <= t) & (self.queue_bytes[us, vs] > 0)
-        if not act.any():
-            return
-        slot_bytes = params.slot_bytes
-        byte_ps = params.byte_ps
-        batch = net._batch_conns
-        sim = self.sim
-        for u, v in zip(us[act].tolist(), vs[act].tolist()):
-            voqs = net.nics[u].voqs
-            head = voqs._queues[v][0]
-            done: list[DrainedMessage]
-            if head.inject_ps <= t and head.remaining > slot_bytes:
-                if head.remaining == head.size and id(head) not in voqs._starts:
-                    voqs._starts[id(head)] = t
-                head.remaining -= slot_bytes
-                voqs.bytes_pending[v] -= slot_bytes
-                moved = slot_bytes
-                done = []
-            else:
-                moved, done = voqs.drain(v, slot_bytes, t, byte_ps)
-                if moved == 0:
-                    continue  # the head is not yet injected
-            net._slot_transfers += 1
-            net.ledger.send(u, v, moved)
-            if not self._null_predictor:
-                net.predictor.on_use(u, v, t)
-            if (u, v) in batch:
-                net._batch_remaining -= moved
-            for dm in done:
-                record = MessageRecord(
-                    src=u,
-                    dst=v,
-                    size=dm.message.size,
-                    inject_ps=dm.message.inject_ps,
-                    start_ps=dm.start_ps,
-                    done_ps=dm.finish_ps + self._path_ps,
-                    seq=dm.message.seq,
-                )
-                sim.schedule_at(
-                    record.done_ps, net._deliver, record, priority=Priority.NIC
-                )
-                if net.prefetcher is not None:
-                    net.prefetcher.observe(u, v, t)
-                    conn = net.prefetcher.prefetch(u, v, t)
-                    if conn is not None:
-                        self.sched.latched[conn.src, conn.dst] = True
-                if net.injection_window is not None:
-                    net._feed_nic(u)
-            if voqs.bytes_pending[v] == 0:
-                hold = net.predictor.on_empty(u, v, t)
-                sim.schedule(
-                    params.request_wire_ps,
-                    net._request_drop,
-                    u,
-                    v,
-                    hold,
-                    priority=Priority.WIRE,
-                )

@@ -7,7 +7,7 @@ import pytest
 
 from repro.errors import InvariantError
 from repro.nic.flow import FlowLedger
-from repro.nic.nic import Nic, bind_queue_matrix
+from repro.nic.nic import Nic, QueueMatrix
 from repro.params import PAPER_PARAMS
 from repro.types import Message, MessageRecord
 
@@ -22,14 +22,6 @@ class TestNic:
         nic.enqueue(Message(src=2, dst=5, size=64))
         assert nic.request_vector()[5]
         assert not nic.idle
-
-    def test_request_changes_edge_detection(self, nic):
-        assert nic.request_changes() == []
-        nic.enqueue(Message(src=2, dst=5, size=64))
-        assert nic.request_changes() == [(5, True)]
-        assert nic.request_changes() == []  # no further edges
-        nic.voqs.drain(5, 64, 0, 1250)
-        assert nic.request_changes() == [(5, False)]
 
     def test_receive_accounting(self, nic):
         rec = MessageRecord(
@@ -47,7 +39,7 @@ class TestQueueMatrix:
 
     def test_nic_mutations_show_in_matrix(self):
         nics = self._nics()
-        q = bind_queue_matrix(nics)
+        q = QueueMatrix(nics).pending
         assert q.shape == (4, 4) and q.dtype == np.int64
         nics[1].enqueue(Message(src=1, dst=3, size=100))
         nics[2].enqueue(Message(src=2, dst=0, size=50))
@@ -59,7 +51,7 @@ class TestQueueMatrix:
 
     def test_matrix_writes_show_in_nics(self):
         nics = self._nics()
-        q = bind_queue_matrix(nics)
+        q = QueueMatrix(nics).pending
         nics[0].enqueue(Message(src=0, dst=2, size=80))
         q[0, 2] -= 80  # a bulk settlement of a drain done elsewhere
         assert nics[0].voqs.bytes_pending[2] == 0
@@ -67,9 +59,9 @@ class TestQueueMatrix:
 
     def test_rebind_keeps_pending_bytes(self):
         nics = self._nics()
-        first = bind_queue_matrix(nics)
+        first = QueueMatrix(nics).pending
         nics[3].enqueue(Message(src=3, dst=1, size=64))
-        second = bind_queue_matrix(nics)  # e.g. the next run or phase
+        second = QueueMatrix(nics).pending  # e.g. the next run or phase
         assert second is not first
         assert second[3, 1] == 64
         nics[3].enqueue(Message(src=3, dst=1, size=16))

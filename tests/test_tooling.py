@@ -1,6 +1,6 @@
 """The repo's own lint gates, run as tests so they cannot rot.
 
-``tools/check_construction.py`` enforces two boundaries:
+``tools/check_construction.py`` enforces these boundaries (among others):
 
 * concrete scheme classes (TdmNetwork, CircuitNetwork, WormholeNetwork)
   may only be constructed inside ``src/repro/networks/`` and ``tests/``
@@ -8,7 +8,9 @@
   ``repro.networks.registry.build_network``;
 * ``multiprocessing`` / ``ProcessPoolExecutor`` may only appear inside
   ``src/repro/exec/`` and ``tests/`` — all process fan-out goes through
-  ``repro.exec.map_cells``.
+  ``repro.exec.map_cells``;
+* the VOQs' private ``_queues`` / ``_starts`` may only be touched inside
+  ``src/repro/nic/`` and ``tests/`` — schemes drain through ``repro.nic``.
 """
 
 from __future__ import annotations
@@ -110,3 +112,25 @@ def test_repro_exec_is_exempt_from_the_pool_rule():
     # run (exercised above) must not flag it
     engine = REPO / "src" / "repro" / "exec" / "engine.py"
     assert "ProcessPoolExecutor" in engine.read_text()
+
+
+def test_checker_flags_private_voq_access(tmp_path):
+    bad = tmp_path / "rogue.py"
+    bad.write_text(
+        "head = nic.voqs._queues[v][0]\n"
+        "if id(head) not in nic.voqs._starts:\n"
+        "    nic.voqs._starts[id(head)] = t\n"
+    )
+    proc = _run(str(tmp_path))
+    assert proc.returncode == 1
+    assert "rogue.py:1" in proc.stdout and "._queues" in proc.stdout
+    assert "rogue.py:2" in proc.stdout and "._starts" in proc.stdout
+    assert "repro.nic" in proc.stdout
+
+
+def test_repro_nic_is_exempt_from_the_voq_rule():
+    # the queues and the slot drain own that state; the default run
+    # (exercised above) must not flag them
+    nic = REPO / "src" / "repro" / "nic"
+    assert "._starts" in (nic / "nic.py").read_text()
+    assert "._queues" in (nic / "queues.py").read_text()

@@ -1,7 +1,7 @@
 #!/usr/bin/env python
 """Lint: architectural boundaries the type checker cannot see.
 
-Three rules, all enforced by walking the AST of every Python file under
+Four rules, all enforced by walking the AST of every Python file under
 the given roots:
 
 * **registry boundary** — concrete scheme classes (``TdmNetwork``,
@@ -20,6 +20,12 @@ the given roots:
   seed-derivation, ordered-reduction, and worker-reset rules are what
   make parallel sweeps bit-identical to serial ones; an ad-hoc pool
   would bypass every one of them.
+* **VOQ boundary** — the virtual output queues' private state
+  (``_queues``, ``_starts``) may only be touched inside
+  ``src/repro/nic/`` and ``tests/``.  Schemes move bytes through
+  ``VirtualOutputQueues.drain`` or the shared slot drain
+  ``repro.nic.QueueMatrix.drain``, so a per-message first-byte time or a
+  byte counter can never be settled two different ways.
 
 Run:  python tools/check_construction.py            # lint the repo
       python tools/check_construction.py PATH ...   # lint specific roots
@@ -50,6 +56,9 @@ TOPO_BUILDERS = frozenset({"full_mesh", "fat_tree", "line"})
 POOL_MODULES = frozenset({"multiprocessing"})
 POOL_CLASSES = frozenset({"ProcessPoolExecutor"})
 
+#: private VOQ state only repro.nic (and tests) may touch
+VOQ_PRIVATE_ATTRS = frozenset({"_queues", "_starts"})
+
 #: directories whose files may construct scheme classes directly
 SCHEME_EXEMPT_PARTS = (
     ("src", "repro", "networks"),
@@ -66,6 +75,12 @@ POOL_EXEMPT_PARTS = (
 TOPO_EXEMPT_PARTS = (
     ("src", "repro", "topo"),
     ("src", "repro", "networks"),
+    ("tests",),
+)
+
+#: directories whose files may touch private VOQ state
+VOQ_EXEMPT_PARTS = (
+    ("src", "repro", "nic"),
     ("tests",),
 )
 
@@ -151,6 +166,18 @@ def find_pool_violations(path: Path) -> list[tuple[int, str]]:
     return out
 
 
+def find_voq_violations(path: Path) -> list[tuple[int, str]]:
+    """Private VOQ attribute accesses in one file, as (line, attr) pairs."""
+    tree = _parse(path)
+    if isinstance(tree, list):
+        return tree
+    return [
+        (node.lineno, node.attr)
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Attribute) and node.attr in VOQ_PRIVATE_ATTRS
+    ]
+
+
 def main(argv: list[str]) -> int:
     repo_root = Path(__file__).resolve().parent.parent
     roots = [Path(a) for a in argv] if argv else [
@@ -176,6 +203,13 @@ def main(argv: list[str]) -> int:
             "a composite scheme (mesh-tdm/fattree-tdm) and pass topology "
             "knobs through RunSpec.options",
         ),
+        (
+            VOQ_EXEMPT_PARTS,
+            find_voq_violations,
+            lambda what: f"access to private VOQ state .{what} — drain "
+            "through repro.nic (VirtualOutputQueues.drain or "
+            "QueueMatrix.drain)",
+        ),
     )
     violations: list[str] = []
     for root in roots:
@@ -195,7 +229,8 @@ def main(argv: list[str]) -> int:
         print(f"\n{len(violations)} boundary violation(s) found")
         return 1
     print("construction check passed: scheme construction goes through "
-          "the registry, process fan-out through repro.exec")
+          "the registry, process fan-out through repro.exec, VOQ state "
+          "through repro.nic")
     return 0
 
 
