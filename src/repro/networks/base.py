@@ -33,7 +33,7 @@ import numpy as np
 from ..errors import SimulationError
 from ..faults.injector import FaultInjector
 from ..nic.flow import FlowLedger
-from ..nic.nic import Nic, QueueMatrix
+from ..nic.nic import Nic, QueueMatrix, build_nics
 from ..nic.queues import DrainedMessage
 from ..params import SystemParams
 from ..sim.engine import Priority, Simulator
@@ -180,8 +180,7 @@ class BaseNetwork(ABC):
         n = self.params.n_ports
         self.sim = Simulator()
         clock = lambda: self.sim.now  # noqa: E731 - rebinds to the fresh sim
-        self.nics = [Nic(self.params, p, self.tracer, clock) for p in range(n)]
-        self.queue_matrix = QueueMatrix(self.nics)
+        self.nics, self.queue_matrix = build_nics(self.params, self.tracer, clock)
         self.ledger = FlowLedger(n)
         self.records = []
         self.drops = []

@@ -1,7 +1,7 @@
 """NIC substrate: virtual output queues, the NIC model, flow accounting."""
 
 from .flow import FlowLedger
-from .nic import Nic, QueueMatrix
+from .nic import Nic, QueueMatrix, build_nics
 from .queues import DrainedMessage, VirtualOutputQueues
 
 __all__ = [
@@ -10,4 +10,5 @@ __all__ = [
     "DrainedMessage",
     "QueueMatrix",
     "VirtualOutputQueues",
+    "build_nics",
 ]

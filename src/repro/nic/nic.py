@@ -19,12 +19,13 @@ from typing import Callable, Sequence
 
 import numpy as np
 
+from ..errors import ConfigurationError
 from ..params import SystemParams
 from ..sim.trace import NULL_TRACER, Tracer
 from ..types import Message, MessageRecord
 from .queues import DrainedMessage, VirtualOutputQueues
 
-__all__ = ["Nic", "QueueMatrix"]
+__all__ = ["Nic", "QueueMatrix", "build_nics"]
 
 
 class Nic:
@@ -46,10 +47,11 @@ class Nic:
         port: int,
         tracer: Tracer | None = None,
         clock: Callable[[], int] | None = None,
+        bytes_pending: np.ndarray | None = None,
     ) -> None:
         self.params = params
         self.port = port
-        self.voqs = VirtualOutputQueues(params.n_ports, port)
+        self.voqs = VirtualOutputQueues(params.n_ports, port, bytes_pending)
         self.bytes_received = 0
         #: completed deliveries *into* this NIC
         self.records: list[MessageRecord] = []
@@ -95,19 +97,32 @@ class QueueMatrix:
     ``voqs.bytes_pending``: every enqueue, drain and purge lands in the
     matrix, and every write to the matrix is queue state.  Slot-synchronous
     code then gathers all pending bytes with one fancy index instead of
-    stacking ``n`` vectors.  Bytes already pending are copied in, so a
-    rebind (a fresh matrix for a new run or phase) loses nothing.
+    stacking ``n`` vectors.
+
+    :func:`build_nics` allocates the matrix first and builds each NIC on
+    its row, then passes the matrix here as ``pending``, so no per-NIC
+    vector is ever allocated.  Without ``pending`` a fresh matrix is
+    allocated and the bytes already pending are copied in, so a rebind (a
+    new matrix for a new run or phase) loses nothing.
     """
 
     __slots__ = ("pending", "_voqs")
 
-    def __init__(self, nics: Sequence[Nic]) -> None:
-        self.pending = np.zeros((len(nics), len(nics)), dtype=np.int64)
+    def __init__(self, nics: Sequence[Nic], pending: np.ndarray | None = None) -> None:
         self._voqs = [nic.voqs for nic in sorted(nics, key=lambda nic: nic.port)]
-        for nic in nics:
-            row = self.pending[nic.port]
-            row[:] = nic.voqs.bytes_pending
-            nic.voqs.bytes_pending = row
+        if pending is not None:
+            for voqs in self._voqs:
+                if voqs.bytes_pending.base is not pending:
+                    raise ConfigurationError(
+                        f"NIC {voqs.src}'s byte vector is not a row of the matrix"
+                    )
+            self.pending = pending
+            return
+        self.pending = np.zeros((len(nics), len(nics)), dtype=np.int64)
+        for voqs in self._voqs:
+            row = self.pending[voqs.src]
+            row[:] = voqs.bytes_pending
+            voqs.bytes_pending = row
 
     def drain(
         self,
@@ -162,3 +177,16 @@ class QueueMatrix:
         self.pending[us, vs] -= moved
         moved[drained] = drained_bytes
         return moved, done
+
+
+def build_nics(
+    params: SystemParams,
+    tracer: Tracer | None = None,
+    clock: Callable[[], int] | None = None,
+) -> tuple[list[Nic], QueueMatrix]:
+    """One NIC per port, each keeping its VOQ byte counts in its row of
+    one freshly allocated :class:`QueueMatrix`."""
+    n = params.n_ports
+    pending = np.zeros((n, n), dtype=np.int64)
+    nics = [Nic(params, p, tracer, clock, pending[p]) for p in range(n)]
+    return nics, QueueMatrix(nics, pending)

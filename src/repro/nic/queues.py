@@ -8,7 +8,10 @@ blocking on the request plane.
 
 :class:`VirtualOutputQueues` stores the per-destination FIFOs of
 :class:`~repro.types.Message` objects plus a NumPy byte-count vector that
-the network models use for vectorised request computation.
+the network models use for vectorised request computation.  Only the byte
+vector is dense: a destination's FIFO is created on its first enqueue, so
+queue memory grows with the (source, destination) pairs that carry
+traffic, not with the port count.
 """
 
 from __future__ import annotations
@@ -38,14 +41,20 @@ class VirtualOutputQueues:
 
     __slots__ = ("n", "src", "_queues", "bytes_pending", "_starts", "enqueued_bytes")
 
-    def __init__(self, n: int, src: int) -> None:
+    def __init__(self, n: int, src: int, bytes_pending: np.ndarray | None = None) -> None:
+        """``bytes_pending``, when given, is a zeroed int64 vector of length
+        ``n`` to keep the byte counts in (a row of a
+        :class:`~repro.nic.QueueMatrix`); by default the queues own one."""
         if not 0 <= src < n:
             raise ConfigurationError(f"source {src} out of range for {n} ports")
         self.n = n
         self.src = src
-        self._queues: list[deque[Message]] = [deque() for _ in range(n)]
+        #: per-destination FIFOs, created on first enqueue
+        self._queues: dict[int, deque[Message]] = {}
         #: bytes not yet transmitted, per destination (authoritative)
-        self.bytes_pending = np.zeros(n, dtype=np.int64)
+        self.bytes_pending = (
+            np.zeros(n, dtype=np.int64) if bytes_pending is None else bytes_pending
+        )
         self._starts: dict[int, int] = {}  # id(message) -> first-byte time
         self.enqueued_bytes = 0
 
@@ -55,7 +64,10 @@ class VirtualOutputQueues:
             raise ConfigurationError(
                 f"message from {msg.src} enqueued at NIC {self.src}"
             )
-        self._queues[msg.dst].append(msg)
+        q = self._queues.get(msg.dst)
+        if q is None:
+            q = self._queues[msg.dst] = deque()
+        q.append(msg)
         self.bytes_pending[msg.dst] += msg.size
         self.enqueued_bytes += msg.size
 
@@ -67,12 +79,12 @@ class VirtualOutputQueues:
         return self.bytes_pending[dst] > 0
 
     def head(self, dst: int) -> Message | None:
-        q = self._queues[dst]
+        q = self._queues.get(dst)
         return q[0] if q else None
 
     def depth(self, dst: int) -> int:
         """Messages queued for ``dst``."""
-        return len(self._queues[dst])
+        return len(self._queues.get(dst, ()))
 
     def drain(
         self, dst: int, max_bytes: int, start_ps: int, byte_ps: int = 0
@@ -91,7 +103,9 @@ class VirtualOutputQueues:
         """
         if max_bytes < 0:
             raise ConfigurationError("cannot drain a negative byte budget")
-        q = self._queues[dst]
+        q = self._queues.get(dst)
+        if q is None:
+            return 0, []
         moved = 0
         done: list[DrainedMessage] = []
         while q and moved < max_bytes:
@@ -124,12 +138,13 @@ class VirtualOutputQueues:
         be transmitted, so they leave the queues and are accounted as
         explicit drops by the caller.  Returns the removed messages (some
         may be partially transmitted — ``remaining < size``); byte counters
-        and in-progress start times are cleaned up.
+        and in-progress start times are cleaned up.  Destinations are
+        purged in ascending order; those that never had a FIFO hold nothing.
         """
-        targets = range(self.n) if dst is None else (dst,)
+        targets = sorted(self._queues) if dst is None else (dst,)
         removed: list[Message] = []
         for v in targets:
-            q = self._queues[v]
+            q = self._queues.get(v)
             while q:
                 msg = q.popleft()
                 self.bytes_pending[v] -= msg.remaining
@@ -152,7 +167,15 @@ class VirtualOutputQueues:
 
     def check_invariants(self) -> None:
         """Verify byte counters match the per-message remainders (test hook)."""
-        for dst, q in enumerate(self._queues):
+        stray = self.bytes_pending != 0
+        stray[list(self._queues)] = False  # a destination without a FIFO holds nothing
+        if stray.any():
+            dst = int(np.argmax(stray))
+            raise InvariantError(
+                f"queue ({self.src}->{dst}) bytes {self.bytes_pending[dst]} "
+                f"pending with no queued message"
+            )
+        for dst, q in self._queues.items():
             actual = sum(m.remaining for m in q)
             if actual != self.bytes_pending[dst]:
                 raise InvariantError(

@@ -11,8 +11,8 @@ SL arrays:
   space), an attachment map from endpoints to (switch, local port), and a
   set of full-duplex :class:`TrunkLink` s between switches — possibly
   several parallel links per switch pair (the FM16 full mesh runs four);
-* :meth:`Topology.route` is **deterministic path selection**: a BFS
-  shortest path whose tie-break among equal-cost next hops is a fixed
+* :meth:`Topology.route` is **deterministic path selection**: a (cached)
+  BFS shortest path whose tie-break among equal-cost next hops is a fixed
   mix of the endpoint pair, so repeated runs (and parallel sweep workers)
   pick byte-identical routes while different endpoint pairs still spread
   over the available multi-paths of a fat tree;
@@ -111,6 +111,7 @@ class Topology:
         "links",
         "_trunks",
         "_neighbors",
+        "_dist_cache",
     )
 
     def __init__(
@@ -140,8 +141,6 @@ class Topology:
         # trunk groups: (a, b) with a < b -> the parallel links' indices
         trunks: dict[tuple[int, int], list[int]] = {}
         for link in links:
-            if link.index != links.index(link):
-                pass  # indices are validated below by position instead
             trunks.setdefault((link.a, link.b), []).append(link.index)
         self._trunks: dict[tuple[int, int], tuple[int, ...]] = {
             pair: tuple(ids) for pair, ids in trunks.items()
@@ -153,6 +152,8 @@ class Topology:
         self._neighbors: tuple[tuple[int, ...], ...] = tuple(
             tuple(sorted(neighbors.get(s, ()))) for s in range(self.n_switches)
         )
+        #: BFS distances per (target, None | healthy-mask bytes)
+        self._dist_cache: dict[tuple[int, bytes | None], tuple[int, ...]] = {}
         self._validate()
 
     # -- construction helpers ----------------------------------------------------
@@ -277,8 +278,22 @@ class Topology:
             return True
         return bool(any(healthy[i] for i in ids))
 
-    def _distances_to(self, target: int, healthy: np.ndarray | None) -> list[int]:
-        """BFS hop distances to ``target`` (-1: unreachable)."""
+    def _distances_to(
+        self, target: int, healthy: np.ndarray | None
+    ) -> tuple[int, ...]:
+        """BFS hop distances to ``target`` (-1: unreachable).
+
+        Cached per target and mask contents: a run routes every circuit
+        against the same few masks (none, then one per set of dead trunks).
+        """
+        mask = None if healthy is None else np.asarray(healthy, dtype=bool).tobytes()
+        key = (target, mask)
+        cached = self._dist_cache.get(key)
+        if cached is None:
+            cached = self._dist_cache[key] = self._bfs(target, healthy)
+        return cached
+
+    def _bfs(self, target: int, healthy: np.ndarray | None) -> tuple[int, ...]:
         dist = [-1] * self.n_switches
         dist[target] = 0
         frontier: deque[int] = deque((target,))
@@ -288,7 +303,7 @@ class Topology:
                 if dist[nxt] < 0 and self._trunk_usable(here, nxt, healthy):
                     dist[nxt] = dist[here] + 1
                     frontier.append(nxt)
-        return dist
+        return tuple(dist)
 
     def diameter(self) -> int:
         """Largest switch count any endpoint pair's route traverses."""

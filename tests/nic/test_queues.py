@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from repro.errors import ConfigurationError
+from repro.errors import ConfigurationError, InvariantError
 from repro.nic.queues import VirtualOutputQueues
 from repro.types import Message
 
@@ -120,6 +120,41 @@ class TestAccounting:
         q.enqueue(Message(src=0, dst=1, size=64))
         q.drain(1, 10, 0, 1250)
         q.check_invariants()
+
+    def test_check_invariants_flags_bytes_without_a_fifo(self):
+        q = _voq()
+        q.enqueue(Message(src=0, dst=1, size=64))
+        q.bytes_pending[3] = 8  # a counter no queued message backs
+        with pytest.raises(InvariantError, match=r"\(0->3\)"):
+            q.check_invariants()
+
+
+class TestLazyFifos:
+    def test_fifo_created_on_first_enqueue(self):
+        q = _voq(8)
+        assert q._queues == {}
+        assert q.head(5) is None and q.depth(5) == 0
+        assert q.drain(5, 100, 0) == (0, [])
+        assert q._queues == {}  # looking and draining create nothing
+        q.enqueue(Message(src=0, dst=5, size=8))
+        assert list(q._queues) == [5] and q.depth(5) == 1
+
+    def test_purge_all_walks_destinations_in_order(self):
+        q = _voq(8)
+        late = [Message(src=0, dst=5, size=8), Message(src=0, dst=5, size=4)]
+        early = [Message(src=0, dst=2, size=16)]
+        for msg in late + early:
+            q.enqueue(msg)
+        q.drain(5, 3, 0, 1250)  # dst 5's head is partly sent
+        assert q.purge() == early + late
+        assert q.is_empty and q._starts == {}
+        q.check_invariants()
+
+    def test_purge_of_a_never_used_destination(self):
+        q = _voq(8)
+        q.enqueue(Message(src=0, dst=2, size=16))
+        assert q.purge(6) == []
+        assert q.total_pending == 16
 
 
 @given(

@@ -34,8 +34,8 @@ def _state(nics: list[Nic]) -> list:
     byte counters."""
     return [
         [
-            [(m.seq, m.remaining, nic.voqs._starts.get(id(m))) for m in q]
-            for q in nic.voqs._queues
+            (v, [(m.seq, m.remaining, nic.voqs._starts.get(id(m))) for m in q])
+            for v, q in sorted(nic.voqs._queues.items())
         ]
         + [nic.voqs.bytes_pending.tolist(), len(nic.voqs._starts)]
         for nic in nics
